@@ -15,6 +15,7 @@
 #include "constellation/ephemeris_cache.hpp"
 #include "core/campaign.hpp"
 #include "exec/thread_pool.hpp"
+#include "sgp4/ephemeris.hpp"
 
 using namespace starlab;
 
@@ -23,7 +24,7 @@ namespace {
 const core::Scenario& sc() { return bench::half_scenario(); }
 
 void BM_Sgp4Propagate(benchmark::State& state) {
-  const sgp4::Ephemeris& eph = sc().catalog().ephemeris(0);
+  const sgp4::Ephemeris eph(sc().catalog().record(0).tle);
   const time::JulianDate jd =
       time::JulianDate::from_unix_seconds(sc().epoch_unix());
   double t = 0.0;
@@ -73,7 +74,7 @@ BENCHMARK(BM_CampaignSlice)
 
 void BM_CatalogPropagateAllGen2(benchmark::State& state) {
   // Full Gen2 catalog (~9.6k satellites), single thread: the per-satellite
-  // batch cost at the scale the SoA layout and spatial index target.
+  // batch cost at the scale the spatial index targets.
   exec::configure({1});
   const core::Scenario& g2 = bench::gen2_scenario();
   const time::JulianDate jd =

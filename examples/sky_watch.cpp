@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       time::JulianDate::from_unix_seconds(scenario.epoch_unix());
   const auto& catalog = scenario.catalog();
   for (std::size_t i = 0; i < catalog.size(); i += 7) {  // thin for legibility
-    const geo::Geodetic sp = catalog.ephemeris(i).subpoint(jd);
+    const geo::Geodetic sp = sgp4::Ephemeris(catalog.record(i).tle).subpoint(jd);
     map.plot(geo::Deg(sp.latitude_deg), geo::Deg(sp.longitude_deg), 's');
   }
   const ground::GatewayNetwork network =

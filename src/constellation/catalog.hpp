@@ -1,8 +1,9 @@
 #pragma once
 
-// Catalog: the propagation-ready form of a constellation. Owns one SGP4
-// ephemeris per satellite and answers the query every layer above needs:
-// "where is everything in this observer's sky at time t?".
+// Catalog: the propagation-ready form of a constellation. Keeps each
+// satellite's SGP4 constant set once (computed at construction) and answers
+// the query every layer above needs: "where is everything in this
+// observer's sky at time t?".
 
 #include <optional>
 #include <span>
@@ -12,10 +13,10 @@
 
 #include "constellation/spatial_index.hpp"
 #include "constellation/synthesizer.hpp"
+#include "geo/frame_vec.hpp"
 #include "geo/geodetic.hpp"
 #include "geo/topocentric.hpp"
-#include "sgp4/batch.hpp"
-#include "sgp4/ephemeris.hpp"
+#include "sgp4/sgp4.hpp"
 #include "time/julian_date.hpp"
 
 namespace starlab::constellation {
@@ -54,9 +55,11 @@ class Catalog {
   [[nodiscard]] const SatelliteRecord& record(std::size_t index) const {
     return records_[index];
   }
-  [[nodiscard]] const sgp4::Ephemeris& ephemeris(std::size_t index) const {
-    return ephemerides_[index];
-  }
+
+  /// TEME position of one satellite at `jd`. Throws sgp4::Sgp4Error when
+  /// propagation leaves SGP4's domain (e.g. the satellite decayed).
+  [[nodiscard]] geo::TemeKm position_teme(std::size_t index,
+                                          const time::JulianDate& jd) const;
 
   /// All satellites above `min_elevation` in the observer's sky at `jd`,
   /// with illumination and age annotated. This is the paper's "available
@@ -84,22 +87,14 @@ class Catalog {
     bool sunlit = true;
   };
 
-  /// Propagate the whole catalog once for an instant. Campaigns evaluating
+  /// Propagate the whole catalog once for an instant, in per-chunk loops on
+  /// the exec::default_pool() with the TEME->ECEF rotation and the solar
+  /// ephemeris hoisted to one evaluation per instant. Campaigns evaluating
   /// several terminals at the same slot call this once and then
-  /// visible_from_snapshots() per terminal. Delegates to
-  /// propagate_all_batch; bit-identical at any thread count.
+  /// visible_from_snapshots() per terminal. Bit-identical to building each
+  /// Snapshot from Sgp4::propagate / teme_to_ecef / sun::is_sunlit per
+  /// satellite (unit-tested), and bit-identical at any thread count.
   [[nodiscard]] std::vector<Snapshot> propagate_all(
-      const time::JulianDate& jd) const {
-    return propagate_all_batch(jd);
-  }
-
-  /// The batch propagation core: walks the structure-of-arrays SGP4
-  /// constants in a tight per-chunk loop on the exec::default_pool(), with
-  /// the TEME->ECEF rotation and the solar ephemeris hoisted to one
-  /// evaluation per instant. Bit-identical to constructing each Snapshot
-  /// from Sgp4::propagate / teme_to_ecef / sun::is_sunlit per satellite
-  /// (unit-tested), and bit-identical at any thread count.
-  [[nodiscard]] std::vector<Snapshot> propagate_all_batch(
       const time::JulianDate& jd) const;
 
   /// visible_from() against precomputed snapshots. Served through the
@@ -124,23 +119,18 @@ class Catalog {
                                         const time::JulianDate& jd) const;
 
  private:
-  /// Fill index_by_norad_ from records_ (first occurrence wins, matching
-  /// the former linear scan's first-match semantics).
-  void build_norad_index();
+  /// The sky entries of the satellites in `indices` (ascending) whose
+  /// snapshot `snapshot_of(i)` clears the cut, via sky_entry_from_snapshot.
+  template <typename Indices, typename SnapshotOf>
+  std::vector<SkyEntry> sky_entries(const Indices& indices,
+                                    const SnapshotOf& snapshot_of,
+                                    const geo::Geodetic& observer,
+                                    const time::JulianDate& jd,
+                                    geo::Deg min_elevation) const;
 
-  /// Copy each ephemeris's constant set into the SoA store and build the
-  /// spatial index over it. Called at the end of both constructors.
-  void build_batch_structures();
-
-  /// The exact per-satellite visibility check shared by the indexed and
-  /// exhaustive paths (this sharing is what makes them byte-identical).
-  /// Returns true and fills `e` when satellite `i` clears the cut.
-  bool sky_entry_at(std::size_t i, const geo::Geodetic& observer,
-                    const geo::EcefKm& obs_ecef, const time::JulianDate& jd,
-                    double unix_sec, geo::Deg min_elevation,
-                    SkyEntry& e) const;
-
-  /// Snapshot-based variant of sky_entry_at.
+  /// The exact per-satellite visibility check every visibility path runs
+  /// (this sharing is what makes them byte-identical). Returns true and
+  /// fills `e` when satellite `i` clears the cut.
   bool sky_entry_from_snapshot(std::size_t i, const Snapshot& snap,
                                const geo::Geodetic& observer,
                                const geo::EcefKm& obs_ecef, double unix_sec,
@@ -148,8 +138,8 @@ class Catalog {
 
   std::vector<SatelliteRecord> records_;
   std::vector<LaunchBatch> launches_;
-  std::vector<sgp4::Ephemeris> ephemerides_;
-  sgp4::SoaConstants soa_;
+  /// One SGP4 constant set per record, same order.
+  std::vector<sgp4::CommonConstants> constants_;
   SpatialIndex index_;
   std::unordered_map<int, std::size_t> index_by_norad_;
 };

@@ -131,8 +131,7 @@ EphemerisCache::Entry EphemerisCache::lookup_or_compute(
   Entry entry;
   try {
     entry.valid = true;
-    entry.teme_km =
-        geo::TemeKm(catalog_.ephemeris(catalog_index).state_teme(jd).position_km);
+    entry.teme_km = catalog_.position_teme(catalog_index, jd);
   } catch (const sgp4::Sgp4Error&) {
     entry.valid = false;
   }
@@ -160,14 +159,12 @@ STARLAB_HOTPATH geo::TemeKm EphemerisCache::position_teme(
   std::int64_t tick = 0;
   if (!quantize(jd.to_unix_seconds(), tick)) {
     bypasses_.fetch_add(1, std::memory_order_relaxed);
-    return geo::TemeKm(
-        catalog_.ephemeris(catalog_index).state_teme(jd).position_km);
+    return catalog_.position_teme(catalog_index, jd);
   }
   const Entry entry = lookup_or_compute(catalog_index, tick, jd);
   if (!entry.valid) {
     // Reproduce the direct call's exception (decayed satellite).
-    return geo::TemeKm(
-        catalog_.ephemeris(catalog_index).state_teme(jd).position_km);
+    return catalog_.position_teme(catalog_index, jd);
   }
   return entry.teme_km;
 }
@@ -175,7 +172,7 @@ STARLAB_HOTPATH geo::TemeKm EphemerisCache::position_teme(
 geo::LookAngles EphemerisCache::look_from(std::size_t catalog_index,
                                           const geo::Geodetic& observer,
                                           const time::JulianDate& jd) const {
-  // Same arithmetic as Ephemeris::look_from, with the TEME state memoized:
+  // Same arithmetic as Catalog::look_at, with the TEME state memoized:
   // teme -> ecef -> topocentric look angles.
   return geo::look_angles(observer,
                           geo::teme_to_ecef(position_teme(catalog_index, jd), jd));

@@ -43,8 +43,8 @@ geo::Vec3 plane_normal(double incl, double node) {
 
 }  // namespace
 
-void SpatialIndex::build(const sgp4::SoaConstants& soa) {
-  const std::size_t n = soa.size();
+void SpatialIndex::build(std::span<const sgp4::CommonConstants> constants) {
+  const std::size_t n = constants.size();
   size_ = n;
   planes_.clear();
   always_.clear();
@@ -53,14 +53,14 @@ void SpatialIndex::build(const sgp4::SoaConstants& soa) {
   horizon_eff_ = -1.0;
   if (n == 0) return;
 
-  t_ref_ = soa.epoch(0);
+  t_ref_ = constants.front().epoch;
   const double h = kHorizonMinutes;
   const double h2 = h * h;
   double max_epoch_offset = 0.0;
 
   std::map<std::pair<long, long>, std::size_t> bucket_of;
   for (std::size_t i = 0; i < n; ++i) {
-    const sgp4::CommonConstants c = soa.load(i);
+    const sgp4::CommonConstants& c = constants[i];
     const double dt0 = t_ref_.minutes_since(c.epoch);
     max_epoch_offset = std::max(max_epoch_offset, std::fabs(dt0));
 

@@ -39,11 +39,12 @@
 // and the caller falls back to the exhaustive scan.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geo/geodetic.hpp"
 #include "geo/units.hpp"
-#include "sgp4/batch.hpp"
+#include "sgp4/sgp4.hpp"
 #include "time/julian_date.hpp"
 
 namespace starlab::constellation {
@@ -52,9 +53,9 @@ class SpatialIndex {
  public:
   SpatialIndex() = default;
 
-  /// Build from the catalog's precomputed SGP4 constant sets. Index i in the
-  /// SoA is the catalog index reported back from candidates().
-  void build(const sgp4::SoaConstants& soa);
+  /// Build from the catalog's precomputed SGP4 constant sets. Index i in
+  /// `constants` is the catalog index reported back from candidates().
+  void build(std::span<const sgp4::CommonConstants> constants);
 
   /// Fill `out` with a superset of the catalog indices visible above
   /// `min_elevation` from `observer` at `jd`, in ascending index order.

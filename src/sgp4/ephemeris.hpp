@@ -1,8 +1,9 @@
 #pragma once
 
 // Ephemeris: the glue between the TEME-frame SGP4 propagator and ground
-// geometry. Higher layers (field-of-view queries, obstruction-map painting,
-// the scheduler oracle) only ever talk to this interface.
+// geometry for one element set. Whole-catalogue queries go through
+// constellation::Catalog, which keeps the SGP4 constants of every satellite
+// in one array instead of one Ephemeris each.
 
 #include "geo/frame_vec.hpp"
 #include "geo/geodetic.hpp"
@@ -31,8 +32,6 @@ class Ephemeris {
   /// Look angles from a ground observer at a UTC instant.
   [[nodiscard]] geo::LookAngles look_from(const geo::Geodetic& observer,
                                           const time::JulianDate& jd) const;
-
-  [[nodiscard]] const Sgp4& propagator() const { return propagator_; }
 
  private:
   Sgp4 propagator_;

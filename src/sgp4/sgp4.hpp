@@ -12,7 +12,7 @@
 //
 // The propagator is split into two halves so a whole catalog can run in a
 // tight batch loop (constellation::Catalog stores one CommonConstants per
-// satellite in structure-of-arrays form):
+// satellite):
 //   * init_common_constants — the Kozai -> Brouwer recovery plus every
 //     secular/periodic coefficient, computed once per element set;
 //   * propagate_common — the per-step evaluation, a pure function of
@@ -141,9 +141,6 @@ class Sgp4 {
 
   /// Semi-major axis at epoch [km].
   [[nodiscard]] double semi_major_axis_km() const;
-
-  /// The precomputed constant set (e.g. for structure-of-arrays storage).
-  [[nodiscard]] const CommonConstants& constants() const { return c_; }
 
  private:
   CommonConstants c_;

@@ -88,7 +88,8 @@ TEST(Gateway, SchedulerRespectsConstraint) {
     const auto& catalog = small_scenario().catalog();
     const auto idx = catalog.index_of(alloc->norad_id);
     ASSERT_TRUE(idx.has_value());
-    const geo::EcefKm ecef = catalog.ephemeris(*idx).position_ecef(jd);
+    const geo::EcefKm ecef =
+        geo::teme_to_ecef(catalog.position_teme(*idx, jd), jd);
     EXPECT_TRUE(net.has_gateway(ecef)) << "slot " << s;
   }
   EXPECT_GT(checked, 5);

@@ -575,7 +575,7 @@ bool CallGraph::receiver_declared_as(const std::string& type_name,
       if (after < text.size() && is_ident_char(text[after])) continue;
       // Back over ws, `&`/`*`, and one template argument group to the
       // would-be type name: `const geo::TemeToEcefRotation rot`,
-      // `SoaConstants soa_;`, `std::span<const Foo> xs`.
+      // `SpatialIndex index_;`, `std::span<const Foo> xs`.
       std::size_t k = hit == 0 ? std::string::npos
                                : skip_ws_back(text, hit - 1);
       while (k != std::string::npos && (text[k] == '&' || text[k] == '*')) {
@@ -633,8 +633,8 @@ std::vector<std::size_t> CallGraph::resolve(const Site& site,
              site.name.find("::") == std::string::npos &&
              caller != SIZE_MAX) {
     // Unqualified call: prefer candidates in the caller's enclosing scopes,
-    // innermost first (`load(i)` inside SoaConstants::propagate is
-    // SoaConstants::load, not every `load` in the program).
+    // innermost first (`quantize(...)` inside EphemerisCache::position_teme
+    // is EphemerisCache::quantize, not every `quantize` in the program).
     std::string scope = defs_[caller].qualified;
     while (true) {
       const std::size_t sep = scope.rfind("::");

@@ -35,7 +35,7 @@ namespace starlint {
 struct FunctionDef {
   /// Unqualified name; lambdas report "<lambda>".
   std::string name;
-  /// Scope-qualified name, e.g. "starlab::sgp4::SoaConstants::propagate".
+  /// Scope-qualified name, e.g. "starlab::sgp4::Sgp4::propagate".
   /// Lambdas get "<enclosing>::<lambda@LINE>".
   std::string qualified;
   /// Index into the file vector the graph was built over.
