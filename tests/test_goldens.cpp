@@ -1,18 +1,21 @@
-// Committed golden digests of the top-level outputs at reduced scale.
+// Committed golden digests of the top-level outputs.
 //
 // A refactor that claims to preserve behaviour has to reproduce these bytes:
 // the campaign CSV of the oracle campaign, the campaign CSV of the inferred
 // (§4-labelled) campaign, and a fixed-precision rendering of one terminal's
-// pipeline rows, each pinned as (CRC-32, byte length) for Gen1 and Gen2 at
-// 1/8 scale. Every digest is checked at 1 and 4 pool threads and with
-// observability fully off and fully on, so a pass also re-proves the
-// thread-count and null-sink guarantees against a fixed reference rather than
-// against another run of the same code.
+// pipeline rows, each pinned as (CRC-32, byte length) for Gen1 and Gen2.
+// The 1/8-scale digests (ctest label `goldens`) are checked at 1 and 4 pool
+// threads and with observability fully off and fully on, so a pass also
+// re-proves the thread-count and null-sink guarantees against a fixed
+// reference rather than against another run of the same code. The
+// full-scale digests (label `perfgate`, the slower set) pin the catalogue
+// sizes the benchmarks run at, at 1 and 4 threads with observability off.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
@@ -65,8 +68,8 @@ std::string render(const core::PipelineResult& result) {
   return out;
 }
 
-core::ScenarioConfig golden_config(bool gen2) {
-  core::ScenarioConfig cfg = core::Scenario::default_config(0.125);
+core::ScenarioConfig golden_config(double scale, bool gen2) {
+  core::ScenarioConfig cfg = core::Scenario::default_config(scale);
   cfg.constellation.gen2 = gen2;
   cfg.constellation.seed = 20230601;
   cfg.seed = 7;
@@ -91,15 +94,16 @@ void expect_digest(const Digest& got, const Digest& want, const char* what) {
   EXPECT_EQ(got.bytes, want.bytes) << what << " byte length";
 }
 
-void check_goldens(bool gen2, const Goldens& want) {
+void check_goldens(double scale, bool gen2, const Goldens& want,
+                   std::initializer_list<bool> obs_modes) {
   const EnvGuard guard;
-  const core::Scenario scenario(golden_config(gen2));
+  const core::Scenario scenario(golden_config(scale, gen2));
   const core::InferencePipeline pipeline(scenario);
   core::CampaignConfig campaign;
   campaign.duration_hours = 0.25;
 
   for (const int threads : {1, 4}) {
-    for (const bool obs_on : {false, true}) {
+    for (const bool obs_on : obs_modes) {
       SCOPED_TRACE(::testing::Message()
                    << (gen2 ? "gen2" : "gen1") << " threads=" << threads
                    << " obs=" << (obs_on ? "all" : "disabled"));
@@ -118,15 +122,35 @@ void check_goldens(bool gen2, const Goldens& want) {
 }
 
 TEST(Goldens, Gen1EighthScale) {
-  check_goldens(false, {.campaign = {0xbf809baau, 71687},
-                        .inferred = {0x1c64866fu, 69060},
-                        .pipeline = {0xb4149d97u, 2774}});
+  check_goldens(0.125, false,
+                {.campaign = {0xbf809baau, 71687},
+                 .inferred = {0x1c64866fu, 69060},
+                 .pipeline = {0xb4149d97u, 2774}},
+                {false, true});
 }
 
 TEST(Goldens, Gen2EighthScale) {
-  check_goldens(true, {.campaign = {0x853e9ca4u, 161827},
-                       .inferred = {0x24ae7846u, 156299},
-                       .pipeline = {0x9df42750u, 2820}});
+  check_goldens(0.125, true,
+                {.campaign = {0x853e9ca4u, 161827},
+                 .inferred = {0x24ae7846u, 156299},
+                 .pipeline = {0x9df42750u, 2820}},
+                {false, true});
+}
+
+TEST(Goldens, Gen1FullScale) {
+  check_goldens(1.0, false,
+                {.campaign = {0xd0fe87dau, 549832},
+                 .inferred = {0x99a22272u, 532046},
+                 .pipeline = {0x0d21822du, 2845}},
+                {false});
+}
+
+TEST(Goldens, Gen2FullScale) {
+  check_goldens(1.0, true,
+                {.campaign = {0x683e3f5au, 1289359},
+                 .inferred = {0xc55d5ce2u, 1247128},
+                 .pipeline = {0x825422beu, 2851}},
+                {false});
 }
 
 }  // namespace
