@@ -9,12 +9,22 @@
 // northern-hemisphere terminals high and north. GsoArc evaluates that
 // predicate exactly: it samples the visible GSO arc and measures the angular
 // separation of a candidate sky position from it.
+//
+// excluded() runs once per visible satellite per slot and terminal, so it
+// avoids separation()'s per-sample trigonometry: each sample's sky unit
+// vector is precomputed, and the largest dot product against the
+// candidate's unit vector is the cosine of the smallest separation. Where
+// that cosine lies within 1e-9 of cos(protection) (far wider than the few
+// ulps by which the two formulas differ) the answer is taken from
+// separation() instead, so excluded() always equals
+// `separation(az, el) < protection`.
 
 #include <vector>
 
 #include "geo/geodetic.hpp"
 #include "geo/topocentric.hpp"
 #include "geo/units.hpp"
+#include "geo/vec3.hpp"
 
 namespace starlab::geo {
 
@@ -32,11 +42,9 @@ class GsoArc {
   [[nodiscard]] Deg separation(Deg azimuth, Deg elevation) const;
 
   /// True if the sky position violates the GSO exclusion zone of
-  /// `protection` half-width.
+  /// `protection` half-width; exactly `separation(az, el) < protection`.
   [[nodiscard]] bool excluded(Deg azimuth, Deg elevation,
-                              Deg protection) const {
-    return separation(azimuth, elevation) < protection;
-  }
+                              Deg protection) const;
 
   /// The sampled arc (for plotting and tests). Ordered by GSO longitude.
   [[nodiscard]] const std::vector<LookAngles>& samples() const {
@@ -49,6 +57,7 @@ class GsoArc {
 
  private:
   std::vector<LookAngles> samples_;
+  std::vector<Vec3> sample_units_;  ///< sky unit vector of each sample
   Deg max_elevation_{-90.0};
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 
 #include "geo/angles.hpp"
 
@@ -83,6 +85,99 @@ TEST(GsoArc, SeparationIsContinuousAcrossAzimuth) {
     EXPECT_LT(std::fabs(cur - prev), 3.0) << "jump at az " << az;
     prev = cur;
   }
+}
+
+// excluded() decides from dot products of unit vectors and defers to
+// separation() only near the boundary; these tests pin that it always
+// returns exactly `separation(az, el) < protection`.
+
+constexpr std::initializer_list<double> kProtections = {0.0,   5.0,   12.0, 18.0,
+                                                        179.0, 180.0, 200.0};
+
+struct ExactnessSite {
+  const char* name;
+  Geodetic site;
+  Deg min_elevation;
+};
+
+const ExactnessSite kExactnessSites[] = {
+    {"40N", {40.0, -100.0, 0.3}, Deg(-5.0)},
+    {"equator", {0.0, 30.0, 0.0}, Deg(-5.0)},
+    {"35S", {-35.0, 149.0, 0.6}, Deg(-5.0)},
+    {"70N", {70.0, 20.0, 0.0}, Deg(-5.0)},
+    {"85N_empty", {85.0, -62.0, 0.0}, Deg(5.0)},
+};
+
+/// Checks excluded() at (az, el) for every protection in `protections`
+/// against one evaluation of separation().
+void expect_exact(const GsoArc& arc, Deg az, Deg el,
+                  std::initializer_list<double> protections) {
+  const Deg separation = arc.separation(az, el);
+  for (const double p : protections) {
+    EXPECT_EQ(arc.excluded(az, el, Deg(p)), separation < Deg(p))
+        << "az=" << az.value() << " el=" << el.value() << " protection=" << p
+        << " separation=" << separation.value();
+  }
+}
+
+TEST(GsoArc, ExcludedMatchesSeparationOverTheSky) {
+  for (const ExactnessSite& s : kExactnessSites) {
+    SCOPED_TRACE(s.name);
+    const GsoArc arc(s.site, Deg(0.5), s.min_elevation);
+    if (s.min_elevation > Deg(0.0)) {
+      ASSERT_TRUE(arc.samples().empty());
+    } else {
+      ASSERT_FALSE(arc.samples().empty());
+    }
+    // Steps that never land on the arc's own 0.5 deg sampling, from below
+    // the arc's -5 deg floor to the zenith.
+    for (double el = -6.0; el <= 90.0; el += 1.9) {
+      for (double az = 0.0; az < 360.0; az += 2.9) {
+        expect_exact(arc, Deg(az), Deg(el), kProtections);
+      }
+    }
+  }
+}
+
+TEST(GsoArc, ExcludedMatchesSeparationAtTheBoundary) {
+  for (const ExactnessSite& s : kExactnessSites) {
+    SCOPED_TRACE(s.name);
+    const GsoArc arc(s.site, Deg(0.5), s.min_elevation);
+    const std::vector<LookAngles>& samples = arc.samples();
+    for (std::size_t i = 0; i < samples.size(); i += 37) {
+      const LookAngles& a = samples[i];
+      // Points a protection width above and below a sample, nudged by up
+      // to 1e-12 deg across the boundary.
+      for (const double p : {5.0, 12.0, 18.0}) {
+        for (const double nudge : {-1e-12, -1e-13, 0.0, 1e-13, 1e-12}) {
+          for (const double dir : {1.0, -1.0}) {
+            const Deg el(a.elevation_deg + dir * (p + nudge));
+            expect_exact(arc, a.azimuth(), el, {p});
+          }
+        }
+      }
+      // A protection equal to the point's own separation, and a few ulps
+      // and 1e-12 deg either side of it: the closest a boundary can be.
+      for (const double off : {3.0, 12.0, 40.0}) {
+        const Deg az(a.azimuth_deg + off);
+        const Deg el(a.elevation_deg + off / 2.0);
+        const double d = arc.separation(az, el).value();
+        const double inf = std::numeric_limits<double>::infinity();
+        expect_exact(arc, az, el,
+                     {d, std::nextafter(d, inf), std::nextafter(d, -inf),
+                      std::nextafter(std::nextafter(d, inf), inf), d + 1e-12,
+                      d - 1e-12});
+      }
+    }
+  }
+}
+
+TEST(GsoArc, ExcludedReadsNanPositionsAsSeparationDoes) {
+  const GsoArc arc(kIowa);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_exact(arc, Deg(nan), Deg(45.0), kProtections);
+  expect_exact(arc, Deg(180.0), Deg(nan), kProtections);
+  expect_exact(arc, Deg(180.0), Deg(30.0), {nan});
 }
 
 }  // namespace
