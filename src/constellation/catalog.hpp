@@ -89,9 +89,10 @@ class Catalog {
 
   /// Propagate the whole catalog once for an instant, in per-chunk loops on
   /// the exec::default_pool() with the TEME->ECEF rotation and the solar
-  /// ephemeris hoisted to one evaluation per instant. Campaigns evaluating
-  /// several terminals at the same slot call this once and then
-  /// visible_from_snapshots() per terminal. Bit-identical to building each
+  /// ephemeris hoisted to one evaluation per instant. The per-slot loops
+  /// query visible_from() instead, which propagates only what the spatial
+  /// index admits; this O(catalog) path remains for tests and for
+  /// e2ebench's traced replay. Bit-identical to building each
   /// Snapshot from Sgp4::propagate / teme_to_ecef / sun::is_sunlit per
   /// satellite (unit-tested), and bit-identical at any thread count.
   [[nodiscard]] std::vector<Snapshot> propagate_all(

@@ -124,8 +124,6 @@ CampaignData run_campaign(const Scenario& scenario,
   CampaignData data;
   data.report.kind = "campaign";
   data.report.label = "oracle";
-  obs::StageStat* st_propagate =
-      timed ? &data.report.stage("propagate") : nullptr;
   obs::StageStat* st_candidates =
       timed ? &data.report.stage("candidates") : nullptr;
   obs::StageStat* st_allocate = timed ? &data.report.stage("allocate") : nullptr;
@@ -145,7 +143,7 @@ CampaignData run_campaign(const Scenario& scenario,
 
   // Every (slot, terminal) observation depends only on (slot, terminal):
   // the oracle is stateless in both, the dropout injector is hash-keyed, and
-  // one catalog propagation is shared by a slot's terminals. Slots are
+  // each terminal's sky query propagates only what it can see. Slots are
   // therefore independent work items, partitioned over the exec pool and
   // flattened back in slot order — bit-identical to the former serial loop
   // at any thread count. The record_* fields select an index sub-window of
@@ -170,27 +168,25 @@ CampaignData run_campaign(const Scenario& scenario,
   // concurrent writes.
   struct StageMerge {
     check::Mutex mu;
-    obs::StageStat* propagate PT_GUARDED_BY(mu) = nullptr;
     obs::StageStat* candidates PT_GUARDED_BY(mu) = nullptr;
     obs::StageStat* allocate PT_GUARDED_BY(mu) = nullptr;
   } stages;
-  stages.propagate = st_propagate;
   stages.candidates = st_candidates;
   stages.allocate = st_allocate;
-  // Each chunk pays queueing plus a stage-stat merge under the mutex, and a
-  // slot costs a whole catalog propagation anyway — so never split below
-  // four slots per chunk. Short benchmark slices (a dozen slots) otherwise
-  // shard into single-slot chunks on wide pools and run slower at eight
-  // threads than at one. The partition only changes which worker computes a
-  // slot, never the per-slot results, so output stays bit-identical.
+  // Each chunk pays queueing plus a stage-stat merge under the mutex, which
+  // a single slot's few indexed sky queries do not amortize — so never split
+  // below four slots per chunk. Short benchmark slices (a dozen slots)
+  // otherwise shard into single-slot chunks on wide pools and run slower at
+  // eight threads than at one. The partition only changes which worker
+  // computes a slot, never the per-slot results, so output stays
+  // bit-identical.
   constexpr std::size_t kMinSlotsPerChunk = 4;
   exec::default_pool().parallel_for_chunks(
       slot_ids.size(), kMinSlotsPerChunk,
       [&](std::size_t begin, std::size_t end) {
         // Per-chunk stage clocks, merged once at chunk end so the shared
         // report never sees concurrent writes.
-        obs::StageStat local_propagate, local_candidates, local_allocate;
-        obs::StageStat* lp = timed ? &local_propagate : nullptr;
+        obs::StageStat local_candidates, local_allocate;
         obs::StageStat* lc = timed ? &local_candidates : nullptr;
         obs::StageStat* la = timed ? &local_allocate : nullptr;
 
@@ -200,17 +196,11 @@ CampaignData run_campaign(const Scenario& scenario,
           const double t_mid = grid.slot_mid(s);
           const time::JulianDate jd = time::JulianDate::from_unix_seconds(t_mid);
 
-          // One catalog propagation shared by every terminal in this slot.
-          const std::vector<constellation::Catalog::Snapshot> snaps = [&] {
-            const obs::ScopedStage stage(lp);
-            return catalog.propagate_all(jd);
-          }();
-
           for (std::size_t ti = 0; ti < scenario.terminals().size(); ++ti) {
             const ground::Terminal& terminal = scenario.terminal(ti);
             std::vector<ground::Candidate> candidates = [&] {
               const obs::ScopedStage stage(lc);
-              return terminal.candidates_from_snapshots(catalog, snaps, jd);
+              return terminal.candidates(catalog, jd);
             }();
 
             bool any_dropped = false;
@@ -259,8 +249,6 @@ CampaignData run_campaign(const Scenario& scenario,
 
         if (timed) {
           const check::MutexLock lock(stages.mu);
-          stages.propagate->wall_ns += local_propagate.wall_ns;
-          stages.propagate->calls += local_propagate.calls;
           stages.candidates->wall_ns += local_candidates.wall_ns;
           stages.candidates->calls += local_candidates.calls;
           stages.allocate->wall_ns += local_allocate.wall_ns;

@@ -177,8 +177,6 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
 
   result.report.kind = "pipeline";
   result.report.label = terminal.name();
-  obs::StageStat* st_propagate =
-      timed ? &result.report.stage("propagate") : nullptr;
   obs::StageStat* st_allocate =
       timed ? &result.report.stage("allocate") : nullptr;
   obs::StageStat* st_record = timed ? &result.report.stage("record") : nullptr;
@@ -222,22 +220,14 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
       polls_missed_since_prev = 0;
     }
 
-    // One whole-catalog propagation per slot, shared by the oracle's
-    // allocation and the identifier's candidate query below (formerly each
-    // re-propagated the catalog on its own).
+    // The oracle allocates from the indexed sky query, which propagates
+    // only the satellites that can be in view (O(visible), not O(catalog)).
     const time::JulianDate jd_mid =
         time::JulianDate::from_unix_seconds(grid.slot_mid(s));
-    const std::vector<constellation::Catalog::Snapshot> snaps = [&] {
-      const obs::ScopedStage stage(st_propagate);
-      return scenario_.catalog().propagate_all(jd_mid);
-    }();
-
     const std::optional<scheduler::Allocation> truth = [&] {
       const obs::ScopedStage stage(st_allocate);
       return global.allocate_from(
-          terminal, s,
-          terminal.candidates_from_snapshots(scenario_.catalog(), snaps,
-                                             jd_mid));
+          terminal, s, terminal.candidates(scenario_.catalog(), jd_mid));
     }();
     // The dish always paints; faults only affect what the poll observes.
     obsmap::ObstructionMap frame = [&] {
@@ -270,7 +260,7 @@ PipelineResult InferencePipeline::run(std::size_t terminal_index,
 
       const obs::ScopedStage stage(st_identify);
       const match::Identification id =
-          identifier.identify(terminal, s, *prev_frame, frame, snaps);
+          identifier.identify(terminal, s, *prev_frame, frame);
       row.num_candidates = id.num_candidates;
       row.trajectory_pixels = id.trajectory_pixels;
       row.confidence = id.confidence;
@@ -343,13 +333,8 @@ void InferencePipeline::append_inferred_rows(CampaignData& data,
         sun::local_solar_hour(terminal.site().longitude_deg, t_mid);
     obs.quality = row.quality;
     obs.confidence = row.inferred_norad.has_value() ? row.confidence : 0.0;
-    // Same set usable_candidates() returns, via the (parallel)
-    // whole-catalog propagation instead of the serial visible_from walk.
-    std::vector<ground::Candidate> usable = terminal.candidates_from_snapshots(
-        scenario_.catalog(), scenario_.catalog().propagate_all(jd), jd);
-    std::erase_if(usable,
-                  [](const ground::Candidate& c) { return !c.usable(); });
-    for (const ground::Candidate& c : usable) {
+    for (const ground::Candidate& c :
+         terminal.usable_candidates(scenario_.catalog(), jd)) {
       if (row.inferred_norad.has_value() &&
           c.sky.norad_id == *row.inferred_norad) {
         obs.chosen = static_cast<int>(obs.available.size());

@@ -13,7 +13,8 @@
 // num_threads == 1 is the serial fallback: parallel_for runs inline on the
 // caller with no locks, no queue and no worker threads. Nested parallel_for
 // calls (from inside a worker) also run inline, so composed layers — a
-// campaign slot that itself calls Catalog::propagate_all — never deadlock.
+// supervised terminal whose identifier scores candidates in parallel —
+// never deadlock.
 
 #include <cstddef>
 #include <deque>

@@ -61,13 +61,17 @@ class Terminal {
       const constellation::Catalog& catalog, const time::JulianDate& jd) const;
 
   /// candidates() against catalog snapshots precomputed for this instant
-  /// (campaigns share one propagate_all() across all terminals of a slot).
+  /// by Catalog::propagate_all(); byte-identical to candidates().
   [[nodiscard]] std::vector<Candidate> candidates_from_snapshots(
       const constellation::Catalog& catalog,
       std::span<const constellation::Catalog::Snapshot> snapshots,
       const time::JulianDate& jd) const;
 
  private:
+  /// Annotate visible entries with the obstruction and GSO flags.
+  [[nodiscard]] std::vector<Candidate> annotate(
+      std::vector<constellation::SkyEntry> visible) const;
+
   TerminalConfig config_;
   std::unique_ptr<geo::GsoArc> gso_arc_;  ///< precomputed per site
 };
