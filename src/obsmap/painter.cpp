@@ -39,12 +39,17 @@ void TrajectoryPainter::paint(const constellation::Catalog& catalog,
   std::optional<Pixel> prev;
   for (double t = t_begin; t < t_end; t += sample_interval_sec_) {
     const time::JulianDate jd = time::JulianDate::from_unix_seconds(t);
-    const geo::LookAngles look =
-        ephemeris_cache_ != nullptr
-            ? ephemeris_cache_->look_from(catalog_index, terminal.site(), jd)
-            : catalog.look_at(catalog_index, terminal.site(), jd);
-    const std::optional<Pixel> px =
-        geometry_.pixel_of(look.azimuth(), look.elevation());
+    std::optional<Pixel> px;
+    try {
+      const geo::LookAngles look =
+          ephemeris_cache_ != nullptr
+              ? ephemeris_cache_->look_from(catalog_index, terminal.site(), jd)
+              : catalog.look_at(catalog_index, terminal.site(), jd);
+      px = geometry_.pixel_of(look.azimuth(), look.elevation());
+    } catch (const sgp4::Sgp4Error&) {
+      // The satellite re-entered during the slot: from here on it is
+      // treated like a sample off the map.
+    }
     if (px.has_value()) {
       if (prev.has_value()) {
         draw_line(frame, *prev, *px);

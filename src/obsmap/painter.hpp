@@ -28,7 +28,9 @@ class TrajectoryPainter {
 
   /// Paint the sky path of `catalog_index` as seen from `terminal` over
   /// [t_begin, t_end) into `frame`. Consecutive samples are joined with a
-  /// line so the trace is gap-free at any sampling rate.
+  /// line so the trace is gap-free at any sampling rate. Samples where
+  /// propagation fails (the satellite re-entered) paint nothing, like
+  /// samples off the map.
   void paint(const constellation::Catalog& catalog, std::size_t catalog_index,
              const ground::Terminal& terminal, double t_begin, double t_end,
              ObstructionMap& frame) const;
