@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks for the hot paths: SGP4 propagation, the
-// whole-sky visibility query, DTW matching, forest inference, obstruction-map
+// whole-sky visibility query, a terminal's candidate query, DTW matching, forest inference, obstruction-map
 // XOR and the Mann-Whitney test. These bound the cost of scaling campaigns
 // to longer durations and denser constellations. Besides the console table,
 // per-section ns/op land in BENCH_perf.json (one RunReport line, git SHA
@@ -136,6 +136,31 @@ void BM_VisibleFromGen2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VisibleFromGen2)->Name("BM_VisibleFrom/gen2");
+
+void terminal_candidates(benchmark::State& state, const core::Scenario& s) {
+  // One terminal's whole per-slot sky query at full scale, as the campaign
+  // and pipeline loops ask it: the indexed visibility query plus the
+  // obstruction and GSO-exclusion tests of every visible satellite.
+  const time::JulianDate jd =
+      time::JulianDate::from_unix_seconds(s.epoch_unix());
+  const ground::Terminal& terminal = s.terminal(0);
+  double t = 0.0;
+  for (auto _ : state) {
+    t += 15.0;
+    benchmark::DoNotOptimize(
+        terminal.candidates(s.catalog(), jd.plus_seconds(t)));
+  }
+}
+
+void BM_TerminalCandidates(benchmark::State& state) {
+  terminal_candidates(state, bench::full_scenario());
+}
+BENCHMARK(BM_TerminalCandidates);
+
+void BM_TerminalCandidatesGen2(benchmark::State& state) {
+  terminal_candidates(state, bench::gen2_scenario());
+}
+BENCHMARK(BM_TerminalCandidatesGen2)->Name("BM_TerminalCandidates/gen2");
 
 void BM_SchedulerAllocate(benchmark::State& state) {
   time::SlotIndex slot = sc().first_slot();
